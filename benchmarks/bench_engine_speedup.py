@@ -3,7 +3,7 @@
 Driven by ``benchmarks/specs/engine_speedup.toml`` (the ``engine``
 pipeline).  Runs the heaviest Figure-6 kernel (SP at the bench scale)
 through both engines on identical, pre-materialized traces and asserts
-two things:
+three things:
 
 1. **Bit-identity** — every paper counter (execution cycles, per-core
    cycles, invalidations, snoops, L2 misses, TLB misses, ...) matches
@@ -15,6 +15,11 @@ two things:
    benchmarks/README.md); the floor is set well below that so a noisy
    shared CI box doesn't flake, while still catching a fast-path
    regression to scalar-equivalent speed.
+3. **Every access resolved in bulk** — the ``sim_path_accesses_total``
+   registry counter must credit all of the batched engine's accesses to
+   the bulk phase resolver (``bulk_share`` 1.0).  Unlike the timing
+   floor this is deterministic: a phase that falls back to the scalar
+   path fails it on any host.
 
 Runs standalone (``python benchmarks/bench_engine_speedup.py``) or under
 pytest with the rest of the bench suite.
@@ -45,6 +50,8 @@ def run_speedup_smoke() -> dict:
 
 def test_engine_speedup_smoke(out_dir):
     stats = run_speedup_smoke()
+    assert stats["bulk_share"] == 1.0, (
+        f"only {stats['bulk_share']:.1%} of SP's accesses were resolved in bulk")
     text = "\n".join(f"{k}: {v}" for k, v in stats.items())
     save_artifact(out_dir, "engine_speedup.txt", text)
 

@@ -1,12 +1,13 @@
 """RPL003 — scalar/batched engine counter parity.
 
-PR 1's batched engine (``mem/hierarchy.py:access_batch``) mirrors every
-protocol counter in locals and flushes them once per quantum; the
-differential harness proves the two engines bit-identical *dynamically*.
-This rule proves the cheaper static half: the **set** of stats counters
-touched by the scalar protocol code equals the set flushed by the
-batched fast path, so a counter added to one engine without the other
-fails lint before any simulation runs.
+The batched engine — the bulk phase resolver's stage functions in
+``mem/resolver.py`` — computes every protocol counter for a whole phase
+and folds them into the stats at commit; the differential harness proves
+the two engines bit-identical *dynamically*.  This rule proves the
+cheaper static half: the **set** of stats counters touched by the scalar
+protocol code equals the set the batched stages update, so a counter
+added to one engine without the other (or dropped between the
+resolver's stages) fails lint before any simulation runs.
 
 Two sub-checks:
 
@@ -86,8 +87,10 @@ class EngineParityRule(Rule):
             "repro/mem/cache.py",
             "repro/mem/coherence.py",
             "repro/mem/hierarchy.py",
+            "repro/mem/interconnect.py",
+            "repro/mem/resolver.py",
         ],
-        "batched-functions": ["access_batch"],
+        "batched-functions": ["resolve_coherence", "resolve_l1", "commit_phase"],
         "extra-counters": ["l1_sibling_invalidations"],
         "sim-result-module": "repro/machine/simulator.py",
         "sim-result-class": "SimResult",
@@ -129,6 +132,9 @@ class EngineParityRule(Rule):
             return
 
         anchor_module, anchor_def = batched_defs[0]
+        engine = "/".join(
+            f"'{name}'" for name in dict.fromkeys(d.name for _, d in batched_defs)
+        )
         for name in sorted(set(scalar) - set(batched)):
             src_module, src_node = scalar[name]
             yield anchor_module.finding(
@@ -136,7 +142,7 @@ class EngineParityRule(Rule):
                 anchor_def,
                 f"counter '{name}' is incremented by the scalar engine "
                 f"({src_module.rel}:{src_node.lineno}) but never flushed "
-                f"by the batched engine '{anchor_def.name}' — the "
+                f"by the batched engine {engine} — the "
                 "differential harness would catch this at runtime; fix "
                 "it here first",
             )

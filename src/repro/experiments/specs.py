@@ -540,6 +540,7 @@ def _run_engine(
 
     from repro.machine.simulator import SimConfig, Simulator
     from repro.machine.system import System
+    from repro.obs.metrics import global_registry
     from repro.workloads.npb import make_npb_workload
 
     config = spec.config(params=params)
@@ -560,8 +561,11 @@ def _run_engine(
             best = min(best, time.perf_counter() - t0)
         return best, result
 
+    bulk = global_registry().counter("sim_path_accesses_total", {"path": "bulk"})
     t_scalar, r_scalar = timed("scalar")
+    bulk_before = bulk.value
     t_batched, r_batched = timed("batched")
+    bulk_share = (bulk.value - bulk_before) / (repeats * r_batched.accesses)
     a = dataclasses.asdict(r_scalar)
     b = dataclasses.asdict(r_batched)
     for f in ENGINE_COMPARED_FIELDS:
@@ -581,6 +585,9 @@ def _run_engine(
         "scalar_seconds": t_scalar,
         "batched_seconds": t_batched,
         "speedup": speedup,
+        # Share of the batched engine's accesses the bulk phase resolver
+        # simulated (the rest took the scalar path).
+        "bulk_share": bulk_share,
     }
     rows = [f"{kernel} {f}={a[f]}" for f in ENGINE_COMPARED_FIELDS]
     return SpecRun(spec=spec, config=config, results=stats, grid={},

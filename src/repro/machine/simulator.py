@@ -67,8 +67,12 @@ class SimConfig:
             invalidations collapse after a dynamic remap).
         noise: optional OS-noise model (random preemptions + TLB flushes).
         engine: ``"scalar"`` (per-access reference loop), ``"batched"``
-            (vectorized-precompute fast path; bit-identical counters), or
-            ``"auto"`` (batched, overridable via ``REPRO_SIM_ENGINE``).
+            (bit-identical fast path: bulk TLB runs per quantum, and each
+            phase's caches resolved in bulk — the phase's first
+            ``access_batch`` call commits the whole phase, see
+            :mod:`repro.mem.resolver`; phases the resolver refuses run on
+            the scalar cache path), or ``"auto"`` (batched, overridable
+            via ``REPRO_SIM_ENGINE``).
     """
 
     quantum: int = 256
@@ -256,6 +260,7 @@ class Simulator:
             if tracer.enabled
             else None
         )
+        bulk_before = system.hierarchy.bulk_accesses
         try:
             result = self._run_phases(
                 first, phases, mapping, detectors, migration_controller
@@ -265,6 +270,7 @@ class Simulator:
                 tracer.end(root, args={"error": True})
             raise
         finally:
+            system.hierarchy.end_phase()
             for det in detectors:
                 det.detach()
         if root is not None:
@@ -277,17 +283,25 @@ class Simulator:
                     "invalidations": result.invalidations,
                 },
             )
-        self._publish_run_metrics(engine, result)
+        self._publish_run_metrics(
+            engine, result, system.hierarchy.bulk_accesses - bulk_before
+        )
         for det in detectors:
             result.detection[getattr(det, "name", type(det).__name__)] = det.summary()
         return result
 
     @staticmethod
-    def _publish_run_metrics(engine: str, result: "SimResult") -> None:
+    def _publish_run_metrics(engine: str, result: "SimResult",
+                             bulk_accesses: int) -> None:
         """Fold one run's aggregates into the process-wide registry."""
         reg = global_registry()
         labels = {"engine": engine}
         reg.counter("sim_runs_total", labels).inc()
+        # Which cache path simulated the accesses: the bulk phase resolver
+        # or the per-access scalar reference.
+        reg.counter("sim_path_accesses_total", {"path": "bulk"}).inc(bulk_accesses)
+        reg.counter("sim_path_accesses_total", {"path": "scalar"}).inc(
+            result.accesses - bulk_accesses)
         reg.counter("sim_accesses_total", labels).inc(result.accesses)
         reg.counter("sim_cycles_total", labels).inc(result.execution_cycles)
         reg.counter("sim_tlb_misses_total", labels).inc(result.tlb_misses)
@@ -312,8 +326,9 @@ class Simulator:
         base = cfg.base_op_cycles
         charge = cfg.charge_detection
         translate = [mmu.translate for mmu in system.mmus]
-        access = system.hierarchy.access
-        access_batch = system.hierarchy.access_batch
+        hierarchy = system.hierarchy
+        access = hierarchy.access
+        access_batch = hierarchy.access_batch
         batched = resolve_engine(cfg.engine) == "batched"
         page_shift = system.mmus[0].page_shift
         line_shift = system.hierarchy.line_shift
@@ -372,6 +387,15 @@ class Simulator:
             if batched:
                 seqs = [s.sequences(page_shift, line_shift) for s in streams]
                 lengths = [sq.length for sq in seqs]
+                if on_tick is None:
+                    # The schedule is fixed for the whole phase: let the
+                    # hierarchy resolve it in bulk.  A tick controller may
+                    # remap mid-phase, so those phases run access by access.
+                    hierarchy.begin_phase(
+                        [s.addrs for s in streams],
+                        [s.writes for s in streams],
+                        mapping, quantum,
+                    )
             else:
                 addrs = [s.addrs.tolist() for s in streams]
                 writes = [s.writes.tolist() for s in streams]
@@ -446,6 +470,8 @@ class Simulator:
                         proposed = on_tick(now)
                         if proposed is not None:
                             apply_mapping(list(proposed))
+            if batched:
+                hierarchy.end_phase()
             return done
 
         migrations = 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.util.validation import check_positive, check_power_of_two
 
@@ -85,25 +85,70 @@ class CacheStats:
         return self.misses / total if total else 0.0
 
 
+class SetMap(dict[int, dict[int, list[int]]]):
+    """Set index -> set dict, each set created on first use.
+
+    A 12288-set L2 that a run touches in a few hundred sets then costs a
+    few hundred dicts to build and to flush, not 12288.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, index: int) -> dict[int, list[int]]:
+        s: dict[int, list[int]] = {}
+        self[index] = s
+        return s
+
+
 class Cache:
     """LRU set-associative tag store.
 
     Lines are identified by their *line number* (address >> log2(line_size));
     callers do the split once so multiple caches can share it.
+
+    The contents may be *deferred*: while the bulk phase resolver
+    (:mod:`repro.mem.resolver`) holds them in arrays, ``_sets`` is absent
+    and the first access to it rebuilds the dicts of every cache the
+    resolver holds (:meth:`defer_contents`).  Stats and ``_clock`` are
+    always current.
     """
 
     def __init__(self, config: CacheConfig, owner_id: int = 0):
         self.config = config
         self.owner_id = owner_id
         self.stats = CacheStats()
-        # One dict per set: line -> [state, stamp].  Dicts keep lookups O(1)
+        # Set index -> {line: [state, stamp]}.  Dicts keep lookups O(1)
         # even for the 12288-set L2, and sets never exceed `ways` entries.
-        self._sets: List[Dict[int, List[int]]] = [
-            {} for _ in range(config.num_sets)
-        ]
+        self._sets: SetMap = SetMap()
+        self._materialize: Optional[Callable[[], None]] = None
         self._num_sets = config.num_sets
         self._ways = config.ways
         self._clock = 0
+
+    def __getattr__(self, name: str) -> object:
+        # Reached only when normal lookup fails: ``_sets`` is missing
+        # exactly while the contents are deferred.
+        materialize = self.__dict__.get("_materialize")
+        if name == "_sets" and materialize is not None:
+            materialize()
+            return self.__dict__["_sets"]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+    def defer_contents(self, materialize: Callable[[], None]) -> None:
+        """Hand the contents to an external store.
+
+        ``materialize`` must put them back with :meth:`restore_contents`;
+        it runs on the first touch of the contents.
+        """
+        del self._sets
+        self._materialize = materialize
+
+    def restore_contents(self, sets: SetMap) -> None:
+        """Install ``sets`` as the contents (ends a deferral)."""
+        self._sets = sets
+        self._materialize = None
 
     # -- lookup/fill ---------------------------------------------------------
 
@@ -193,26 +238,36 @@ class Cache:
         return entry[0]
 
     def flush(self) -> int:
-        """Drop everything; returns the number of MODIFIED lines dropped."""
+        """Drop everything; returns the number of MODIFIED lines dropped.
+
+        Costs one step per set ever touched, so a never-touched cache
+        flushes in O(1).
+        """
         dirty = 0
-        for s in self._sets:
+        for s in self._sets.values():
             for entry in s.values():
                 if entry[0] == int(MESIState.MODIFIED):
                     dirty += 1
-            s.clear()
+        self._sets = SetMap()
         return dirty
 
     # -- content inspection ----------------------------------------------------
 
+    def set_contents(self, index: int) -> List[Tuple[int, List[int]]]:
+        """``(line, [state, stamp])`` of set ``index`` in LRU order (oldest first)."""
+        s = self._sets.get(index)
+        return [(line, list(entry)) for line, entry in s.items()] if s else []
+
     def resident_lines(self) -> Iterator[Tuple[int, MESIState]]:
-        """Iterate ``(line, state)`` over all resident lines."""
-        for s in self._sets:
-            for line, entry in s.items():
+        """Iterate ``(line, state)`` over all resident lines, by set index."""
+        sets = self._sets
+        for index in sorted(sets):
+            for line, entry in sets[index].items():
                 yield line, MESIState(entry[0])
 
     def occupancy(self) -> int:
         """Number of resident lines."""
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets.values())
 
     def __contains__(self, line: int) -> bool:
         return line in self._sets[line % self._num_sets]

@@ -15,10 +15,13 @@ makes same-L2 sharing cheap but not free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.mem import resolver
 from repro.mem.cache import Cache, CacheConfig, MESIState
-from repro.mem.coherence import CoherenceBus, CoherenceStats
+from repro.mem.coherence import CoherenceBus, CoherenceStats, InvalidateHook
 from repro.mem.interconnect import Interconnect, InterconnectConfig
 
 
@@ -30,6 +33,22 @@ class AccessResult:
     l1_hit: bool
     l2_hit: bool
     served_by: str  # "l1", "l2", "snoop", or "memory"
+
+
+def _inclusion_shootdown(
+    l1s: List[Cache], l2_cores: List[List[int]]
+) -> InvalidateHook:
+    """Invalidate hook: drop a line from every L1 above the invalidated L2.
+
+    A closure over the caches rather than a bound method, so the bus holds
+    no reference back to the hierarchy.
+    """
+
+    def hook(l2_id: int, line: int) -> None:
+        for core in l2_cores[l2_id]:
+            l1s[core].invalidate(line)
+
+    return hook
 
 
 class MemoryHierarchy:
@@ -91,22 +110,25 @@ class MemoryHierarchy:
             memory_latency=memory_latency,
             memory_model=memory_model,
         )
-        self.bus.add_invalidate_hook(self._on_l2_invalidate)
         # Cores above each L2, for sibling/inclusion shootdowns.
         self._l2_cores: List[List[int]] = [[] for _ in range(num_l2)]
         for core, l2 in enumerate(self.core_to_l2):
             self._l2_cores[l2].append(core)
+        self._inclusion_hook = _inclusion_shootdown(self.l1s, self._l2_cores)
+        self.bus.add_invalidate_hook(self._inclusion_hook)
         self.l1_sibling_invalidations = 0
         self._l1_lat = self.l1_config.latency  # hot-path hoist
-        # Per-core hoisted-structure tuples for access_batch (lazy).
-        self._batch_ctx: dict = {}
-
-    # -- hooks ----------------------------------------------------------------
-
-    def _on_l2_invalidate(self, l2_id: int, line: int) -> None:
-        """Inclusion: drop the line from every L1 above the invalidated L2."""
-        for core in self._l2_cores[l2_id]:
-            self.l1s[core].invalidate(line)
+        #: Accesses resolved in bulk (the rest ran on the scalar path).
+        self.bulk_accesses = 0
+        # Bulk-resolver state: the announced phase, its resolved call
+        # schedule and latencies, and the caches' contents while the
+        # resolver holds them as arrays (None: the dicts are current).
+        self._pending: Optional[tuple] = None
+        self._calls: Optional[List[Tuple[int, int, int]]] = None
+        self._call_latency: List[int] = []
+        self._call_index = 0
+        self._geometry: Optional[resolver.Geometry] = None
+        self._deferred: Optional[resolver.DeferredContents] = None
 
     # -- access paths ------------------------------------------------------------
 
@@ -146,6 +168,28 @@ class MemoryHierarchy:
         l1.insert(line, MESIState.SHARED)
         return latency
 
+    def begin_phase(
+        self,
+        addrs: Sequence[np.ndarray],
+        writes: Sequence[np.ndarray],
+        cores: Sequence[int],
+        quantum: int,
+    ) -> None:
+        """Announce the phase the next :meth:`access_batch` calls run.
+
+        ``addrs[t]``/``writes[t]`` are thread ``t``'s stream, run on core
+        ``cores[t]`` in rounds of ``quantum`` accesses, threads in index
+        order within a round.  Cheap: the phase is resolved lazily by the
+        first :meth:`access_batch` call, and :meth:`end_phase` releases it.
+        """
+        self._pending = (list(addrs), list(writes), list(cores), int(quantum))
+        self._calls = None
+
+    def end_phase(self) -> None:
+        """Drop the current phase's schedule (at its barrier)."""
+        self._pending = None
+        self._calls = None
+
     def access_batch(
         self,
         core: int,
@@ -154,439 +198,87 @@ class MemoryHierarchy:
         start: int,
         end: int,
     ) -> int:
-        """Perform accesses ``start..end`` of one core's stream in bulk.
-
-        Batched-engine entry point: one fused loop with the *entire* MESI
-        protocol inlined — L1/L2 hits, silent write upgrades, memory
-        fills, and the snoop paths (cache-to-cache reads, upgrade
-        broadcasts, RFOs), the latter sharing a single holder scan where
-        the scalar path probes twice.  Clocks and counters are mirrored
-        in locals and flushed once at the end; every stamp update is a
-        pop+reinsert so the :class:`~repro.mem.cache.Cache` invariant
-        (dict order == LRU order) is preserved, and the final cache state
-        and every statistic are bit-identical to ``end - start`` calls of
-        :meth:`access`.
-
-        Only safe when no other core touches the hierarchy in between —
-        i.e. within one scheduling quantum of the simulator.  Returns the
+        """Perform accesses ``start..end`` of one core's stream; returns the
         summed latency in cycles.
+
+        Within a phase announced by :meth:`begin_phase` the first call
+        resolves and commits the *whole phase* in bulk
+        (:mod:`repro.mem.resolver`): every cache's final state and every
+        counter are in place after it, and each call — which must follow
+        the announced schedule — returns its precomputed latency.  Phases
+        the resolver refuses (a non-UMA memory model, invalidate hooks
+        other than the hierarchy's own, a possible L2 eviction), and calls
+        outside an announced phase (the simulator announces none while a
+        tick controller may remap mid-phase), run access by access on the
+        scalar reference path :meth:`access`.  Either way the outcome is
+        bit-identical to ``end - start`` calls of :meth:`access`.
         """
-        bus = self.bus
-        # Per-core hoist context, built once: every object in it is fixed
-        # at construction time (caches, hook list, interconnect methods,
-        # chip map).  Mutable things that may be swapped per run — the
-        # memory model — are read per call below.
-        ctx = self._batch_ctx.get(core)
-        if ctx is None:
-            l2_id = self.core_to_l2[core]
-            l1 = self.l1s[core]
-            l2 = self.l2s[l2_id]
-            sib_l1s = [
-                self.l1s[s] for s in self._l2_cores[l2_id] if s != core
-            ]
-            ctx = (
-                l1,
-                l2_id,
-                l2,
-                bus.stats,
-                bus.invalidate_hooks,
-                bus.interconnect.transfer,
-                bus.interconnect.invalidate,
-                bus._line_size,
-                self._l1_lat,
-                self.l2_config.latency,
-                sib_l1s,
-                # One sibling is the common topology (paired cores):
-                # skip the loop then.
-                sib_l1s[0] if len(sib_l1s) == 1 else None,
-                bus.chip_of,
-                bus.chip_of[l2_id],
-                l1._sets,
-                l1._num_sets,
-                l1._ways,
-                l2._sets,
-                l2._num_sets,
-                l2._ways,
-                l2.stats,
-                # Other L2s' tag stores, for the single holder scan.
-                [
-                    (cid, c, c._sets, c._num_sets)
-                    for cid, c in enumerate(bus.caches)
-                    if cid != l2_id
-                ],
-            )
-            self._batch_ctx[core] = ctx
-        (
-            l1,
-            l2_id,
-            l2,
-            bus_stats,
-            inv_hooks,
-            ic_transfer,
-            ic_invalidate,
-            line_size,
-            l1_lat,
-            l2_lat,
-            sib_l1s,
-            sib0,
-            chip_of,
-            my_chip,
-            l1_sets,
-            l1_num_sets,
-            l1_ways,
-            l2_sets,
-            l2_num_sets,
-            l2_ways,
-            l2_stats,
-            others,
-        ) = ctx
-        # DRAM fill cost: constant under UMA, an oracle call under NUMA.
-        memory_model = bus.memory_model
-        uma_fill = bus.memory_latency if memory_model is None else None
-
-        # Local counter mirrors, flushed once after the loop (no mid-loop
-        # fallbacks remain).  L1 misses are derived: every access does
-        # exactly one L1 lookup, so misses = n - hits.
-        l1_clock = l1._clock
-        l2_clock = l2._clock
-        l1_hits_w = 0          # write-path L1 touches that hit
-        l1_evictions = 0
-        wr_ct = 0              # writes seen (reads are derived: n - wr_ct)
-        rd_miss_ct = 0         # reads that missed the local L2
-        l2_miss_ct = 0         # mirrors l2.stats.misses == bus l2_misses
-        l2_evict_ct = 0
-        l2_wb_ct = 0           # MODIFIED victims (writebacks)
-        wb_mem = 0             # bus writebacks_to_memory
-        snoop_ct = 0
-        memfetch_ct = 0
-        upgrade_ct = 0
-        inval_ct = 0
-        sib_inval = 0
-        n_l1_read_hits = 0     # latency l1_lat each
-        n_write_fast = 0       # latency l1_lat each (M/E silent hits)
+        calls = self._calls
+        if calls is None and self._pending is not None:
+            calls = self._calls = self._resolve_pending()
+        if calls is not None:
+            i = self._call_index
+            if i >= len(calls) or calls[i] != (core, start, end):
+                raise RuntimeError(
+                    f"access_batch({core}, {start}, {end}) does not follow "
+                    "the announced phase schedule"
+                )
+            self._call_index = i + 1
+            return self._call_latency[i]
+        access = self.access
+        shift = self._line_shift
         total = 0
+        for line, w in zip(lines[start:end], writes[start:end]):
+            total += access(core, line << shift, w)
+        return total
 
-        seg = lines[start:end]
-        if True not in writes[start:end]:
-            # Write-free quantum (the common case in the read-heavy
-            # kernels): run the read path without the per-access write
-            # branch or the zip over the writes list.
-            for line in seg:
-                s1 = l1_sets[line % l1_num_sets]
-                e1 = s1.pop(line, None)
-                if e1 is not None:
-                    l1_clock += 1
-                    e1[1] = l1_clock
-                    s1[line] = e1
-                    n_l1_read_hits += 1
-                    continue
-                s2 = l2_sets[line % l2_num_sets]
-                e2 = s2.pop(line, None)
-                if e2 is not None:  # any valid MESI state serves a read
-                    l2_clock += 1
-                    e2[1] = l2_clock
-                    s2[line] = e2
-                else:
-                    # Local L2 miss: snoop or memory fill.
-                    l2_miss_ct += 1
-                    rd_miss_ct += 1
-                    holders = None
-                    for cid, oc, osets, onum in others:
-                        e = osets[line % onum].get(line)
-                        if e is not None:
-                            if holders is None:
-                                holders = [(cid, e)]
-                            else:
-                                holders.append((cid, e))
-                    if holders is not None:
-                        snoop_ct += 1
-                        supplier, sup_state = holders[0][0], holders[0][1][0]
-                        for h, e in holders:
-                            if e[0] == 3:
-                                supplier, sup_state = h, 3
-                                break
-                            if chip_of[h] == my_chip:
-                                supplier, sup_state = h, e[0]
-                        if sup_state == 3:
-                            wb_mem += 1
-                        for h, e in holders:
-                            e[0] = 1  # all holders downgrade to SHARED
-                        total += l1_lat + l2_lat + ic_transfer(
-                            chip_of[supplier], my_chip, line_size, kind="snoop"
-                        )
-                        fill_state = 1  # MESIState.SHARED
-                    else:
-                        memfetch_ct += 1
-                        total += l1_lat + l2_lat + (
-                            uma_fill
-                            if uma_fill is not None
-                            else memory_model.memory_latency(my_chip, line)
-                        )
-                        fill_state = 2  # MESIState.EXCLUSIVE
-                    l2_clock += 2  # the lookup's and the insert's ticks
-                    if len(s2) >= l2_ways:
-                        vline = next(iter(s2))
-                        ve = s2.pop(vline)
-                        l2_evict_ct += 1
-                        if ve[0] == 3:
-                            l2_wb_ct += 1
-                            wb_mem += 1
-                        for hook in inv_hooks:
-                            hook(l2_id, vline)
-                        ve[0] = fill_state
-                        ve[1] = l2_clock
-                        s2[line] = ve
-                    else:
-                        s2[line] = [fill_state, l2_clock]
-                # L1 refill.  L1 entries are always SHARED (write-through,
-                # no-write-allocate), so a reused victim keeps its state.
-                l1_clock += 2  # the touch's and the refill's clock ticks
-                if len(s1) >= l1_ways:
-                    ve1 = s1.pop(next(iter(s1)))
-                    l1_evictions += 1
-                    ve1[1] = l1_clock
-                    s1[line] = ve1
-                else:
-                    s1[line] = [1, l1_clock]  # MESIState.SHARED
-            n = end - start
-            n_l2_read_hits = n - n_l1_read_hits - rd_miss_ct
-            l1._clock = l1_clock
-            l2._clock = l2_clock
-            l1_stats = l1.stats
-            l1_stats.hits += n_l1_read_hits
-            l1_stats.misses += n - n_l1_read_hits
-            l1_stats.evictions += l1_evictions
-            l2_stats.hits += n_l2_read_hits
-            l2_stats.misses += l2_miss_ct
-            l2_stats.evictions += l2_evict_ct
-            l2_stats.writebacks += l2_wb_ct
-            bus_stats.l2_misses += l2_miss_ct
-            bus_stats.per_cache_misses[l2_id] += l2_miss_ct
-            bus_stats.snoop_transactions += snoop_ct
-            bus_stats.memory_fetches += memfetch_ct
-            bus_stats.invalidations += inval_ct
-            bus_stats.writebacks_to_memory += wb_mem
-            return (
-                total
-                + n_l1_read_hits * l1_lat
-                + n_l2_read_hits * (l1_lat + l2_lat)
-            )
-
-        for line, w in zip(seg, writes[start:end]):
-            if w:
-                # Write-through L1: LRU touch + accounting, store goes down.
-                wr_ct += 1
-                l1_clock += 1
-                s1 = l1_sets[line % l1_num_sets]
-                e1 = s1.pop(line, None)
-                if e1 is not None:
-                    e1[1] = l1_clock
-                    s1[line] = e1
-                    l1_hits_w += 1
-                s2 = l2_sets[line % l2_num_sets]
-                e2 = s2.pop(line, None)
-                if e2 is not None:
-                    l2_clock += 1
-                    e2[1] = l2_clock
-                    s2[line] = e2
-                    state = e2[0]
-                    if state >= 2:  # EXCLUSIVE or MODIFIED: silent hit.
-                        if state == 2:
-                            e2[0] = 3
-                        n_write_fast += 1
-                    else:
-                        # SHARED: upgrade, invalidate every other holder.
-                        upgrade_ct += 1
-                        lat = 0
-                        for cid, oc, osets, onum in others:
-                            oset = osets[line % onum]
-                            prior = oset.pop(line, None)
-                            if prior is not None:
-                                oc.stats.invalidations_received += 1
-                                if prior[0] == 3:
-                                    wb_mem += 1
-                                inval_ct += 1
-                                cost = ic_invalidate(my_chip, chip_of[cid])
-                                if cost > lat:
-                                    lat = cost
-                                for hook in inv_hooks:
-                                    hook(cid, line)
-                        e2[0] = 3
-                        total += l1_lat + lat
-                else:
-                    # Write miss: read-for-ownership.
-                    l2_miss_ct += 1
-                    holders = None
-                    for cid, oc, osets, onum in others:
-                        e = osets[line % onum].get(line)
-                        if e is not None:
-                            if holders is None:
-                                holders = [(cid, oc, osets[line % onum], e)]
-                            else:
-                                holders.append((cid, oc, osets[line % onum], e))
-                    if holders is not None:
-                        snoop_ct += 1
-                        supplier = holders[0][0]
-                        for h, _, _, e in holders:
-                            if e[0] == 3:
-                                supplier = h
-                                break
-                            if chip_of[h] == my_chip:
-                                supplier = h
-                        total += l1_lat + ic_transfer(
-                            chip_of[supplier], my_chip, line_size, kind="rfo"
-                        )
-                        for h, oc, oset, e in holders:
-                            del oset[line]
-                            oc.stats.invalidations_received += 1
-                            if e[0] == 3:
-                                wb_mem += 1
-                            inval_ct += 1
-                            for hook in inv_hooks:
-                                hook(h, line)
-                    else:
-                        memfetch_ct += 1
-                        total += l1_lat + (
-                            uma_fill
-                            if uma_fill is not None
-                            else memory_model.memory_latency(my_chip, line)
-                        )
-                    l2_clock += 2  # the lookup's and the insert's clock ticks
-                    if len(s2) >= l2_ways:
-                        vline = next(iter(s2))
-                        ve = s2.pop(vline)
-                        l2_evict_ct += 1
-                        if ve[0] == 3:
-                            l2_wb_ct += 1
-                            wb_mem += 1
-                        for hook in inv_hooks:
-                            hook(l2_id, vline)
-                        ve[0] = 3  # MESIState.MODIFIED
-                        ve[1] = l2_clock
-                        s2[line] = ve
-                    else:
-                        s2[line] = [3, l2_clock]  # MESIState.MODIFIED
-                # Sibling L1 shootdown (intra-pair coherence).
-                if sib0 is not None:
-                    if sib0._sets[line % sib0._num_sets].pop(line, None) is not None:
-                        sib0.stats.invalidations_received += 1
-                        sib_inval += 1
-                else:
-                    for sl1 in sib_l1s:
-                        if sl1._sets[line % sl1._num_sets].pop(line, None) is not None:
-                            sl1.stats.invalidations_received += 1
-                            sib_inval += 1
-                continue
-            # Read path.  (Clock ticks are fused on the miss branches: the
-            # lookup tick writes no stamp when it misses, so the miss path
-            # advances the clock by 2 in one step before the fill's stamp.)
-            s1 = l1_sets[line % l1_num_sets]
-            e1 = s1.pop(line, None)
-            if e1 is not None:
-                l1_clock += 1
-                e1[1] = l1_clock
-                s1[line] = e1
-                n_l1_read_hits += 1
-                continue
-            s2 = l2_sets[line % l2_num_sets]
-            e2 = s2.pop(line, None)
-            if e2 is not None:  # any valid MESI state serves a read
-                l2_clock += 1
-                e2[1] = l2_clock
-                s2[line] = e2
-            else:
-                # Local L2 miss: snoop or memory fill.
-                l2_miss_ct += 1
-                rd_miss_ct += 1
-                holders = None
-                for cid, oc, osets, onum in others:
-                    e = osets[line % onum].get(line)
-                    if e is not None:
-                        if holders is None:
-                            holders = [(cid, e)]
-                        else:
-                            holders.append((cid, e))
-                if holders is not None:
-                    # Served cache-to-cache: one snoop transaction.  Prefer
-                    # an on-chip supplier; a MODIFIED holder must supply.
-                    snoop_ct += 1
-                    supplier, sup_state = holders[0][0], holders[0][1][0]
-                    for h, e in holders:
-                        if e[0] == 3:
-                            supplier, sup_state = h, 3
-                            break
-                        if chip_of[h] == my_chip:
-                            supplier, sup_state = h, e[0]
-                    if sup_state == 3:
-                        wb_mem += 1
-                    for h, e in holders:
-                        e[0] = 1  # all holders downgrade to SHARED
-                    total += l1_lat + l2_lat + ic_transfer(
-                        chip_of[supplier], my_chip, line_size, kind="snoop"
-                    )
-                    fill_state = 1  # MESIState.SHARED
-                else:
-                    memfetch_ct += 1
-                    total += l1_lat + l2_lat + (
-                        uma_fill
-                        if uma_fill is not None
-                        else memory_model.memory_latency(my_chip, line)
-                    )
-                    fill_state = 2  # MESIState.EXCLUSIVE
-                l2_clock += 2  # the lookup's and the insert's clock ticks
-                if len(s2) >= l2_ways:
-                    vline = next(iter(s2))
-                    ve = s2.pop(vline)
-                    l2_evict_ct += 1
-                    if ve[0] == 3:
-                        l2_wb_ct += 1
-                        wb_mem += 1
-                    for hook in inv_hooks:
-                        hook(l2_id, vline)
-                    ve[0] = fill_state
-                    ve[1] = l2_clock
-                    s2[line] = ve
-                else:
-                    s2[line] = [fill_state, l2_clock]
-            # L1 refill.  L1 entries are always SHARED (write-through,
-            # no-write-allocate), so a reused victim keeps its state.
-            l1_clock += 2  # the touch's and the refill's clock ticks
-            if len(s1) >= l1_ways:
-                ve1 = s1.pop(next(iter(s1)))
-                l1_evictions += 1
-                ve1[1] = l1_clock
-                s1[line] = ve1
-            else:
-                s1[line] = [1, l1_clock]  # MESIState.SHARED
-
-        # Flush the mirrors.  L2 read hits are derived: every read that
-        # missed the L1 did one L2 lookup, hitting unless counted missed.
-        n = end - start
-        n_l2_read_hits = (n - wr_ct) - n_l1_read_hits - rd_miss_ct
-        l1._clock = l1_clock
-        l2._clock = l2_clock
-        l1_stats = l1.stats
-        l1_hits = n_l1_read_hits + l1_hits_w
-        l1_stats.hits += l1_hits
-        l1_stats.misses += n - l1_hits
-        l1_stats.evictions += l1_evictions
-        l2_stats.hits += n_l2_read_hits + n_write_fast + upgrade_ct
-        l2_stats.misses += l2_miss_ct
-        l2_stats.evictions += l2_evict_ct
-        l2_stats.writebacks += l2_wb_ct
-        bus_stats.l2_misses += l2_miss_ct
-        bus_stats.per_cache_misses[l2_id] += l2_miss_ct
-        bus_stats.snoop_transactions += snoop_ct
-        bus_stats.memory_fetches += memfetch_ct
-        bus_stats.upgrades += upgrade_ct
-        bus_stats.invalidations += inval_ct
-        bus_stats.writebacks_to_memory += wb_mem
-        self.l1_sibling_invalidations += sib_inval
+    def _bulk_allowed(self) -> bool:
+        """Phase-independent preconditions of the bulk resolver."""
+        bus = self.bus
         return (
-            total
-            + (n_l1_read_hits + n_write_fast) * l1_lat
-            + n_l2_read_hits * (l1_lat + l2_lat)
+            bus.memory_model is None
+            and bus.invalidate_hooks == [self._inclusion_hook]
+            and type(bus.interconnect) is Interconnect
+            and len(self.l2s) <= resolver.MAX_DOMAINS
         )
+
+    def _resolve_pending(self) -> Optional[List[Tuple[int, int, int]]]:
+        """Resolve and commit the announced phase; None when refused."""
+        addrs, writes, cores, quantum = self._pending
+        self._pending = None
+        if not self._bulk_allowed():
+            return None
+        geom = self._geometry
+        if geom is None:
+            geom = self._geometry = resolver.Geometry.of(self)
+        store = self._contents()
+        if store is None:
+            self._deferred = resolver.DeferredContents(
+                self.l1s + self.l2s, geom, resolver.export_contents(self, geom)
+            )
+            store = self._deferred.store
+        shift = self._line_shift
+        trace = resolver.schedule(
+            geom, store, [a >> shift for a in addrs], writes, cores, quantum
+        )
+        if not resolver.fits_l2(geom, store, trace):
+            self._deferred.materialize()
+            return None
+        coh = resolver.resolve_coherence(geom, trace, self.bus.memory_latency)
+        lanes = resolver.resolve_l1(
+            geom, store, trace, coh, [c._clock for c in self.l1s]
+        )
+        self._call_latency = resolver.commit_phase(
+            self, geom, store, trace, coh, lanes
+        )
+        self.bulk_accesses += len(trace.line)
+        self._call_index = 0
+        return trace.calls
+
+    def _contents(self) -> Optional[resolver.CacheArrays]:
+        """The resolver's arrays, or None when the cache dicts are current."""
+        deferred = self._deferred
+        return deferred.store if deferred is not None else None
 
     def access_verbose(self, core: int, addr: int, is_write: bool) -> AccessResult:
         """Like :meth:`access` but reports where the data came from (tests)."""
@@ -636,5 +328,10 @@ class MemoryHierarchy:
 
     def flush_all(self) -> None:
         """Empty every cache (between independent runs)."""
+        self.end_phase()
+        if self._contents() is not None:
+            self._deferred.drop()
+            self._deferred = None
+            return
         for c in self.l1s + self.l2s:
             c.flush()

@@ -78,6 +78,19 @@ class TestRPL003:
     def test_passes_balanced_engines(self):
         assert lint_fixture("rpl003_ok.py", fixture_config(rpl003=RPL003_OK)) == []
 
+    def test_flags_resolver_dropping_a_counter(self):
+        cfg = fixture_config(rpl003=dict(RPL003_BAD, **{
+            "scalar-modules": ["rpl003_resolver_bad.py"],
+            "batched-functions": ["resolve_coherence", "resolve_l1",
+                                  "commit_phase"],
+            "sim-result-module": "rpl003_resolver_bad.py",
+        }))
+        findings = lint_fixture("rpl003_resolver_bad.py", cfg)
+        assert rule_ids(findings) == {"RPL003"}
+        assert len(findings) == 1
+        assert "'evictions'" in findings[0].message
+        assert "'resolve_coherence'/'commit_phase'" in findings[0].message
+
     def test_vacuous_without_batched_function(self):
         # Parity over a module with no access_batch: nothing to compare.
         cfg = fixture_config(rpl003=dict(RPL003_BAD, **{

@@ -20,9 +20,10 @@ def test_src_is_lint_clean():
 
 
 def test_rpl003_is_not_vacuous_on_src():
-    """Guard the guard: the parity rule must actually find the batched
-    engine and a non-empty counter set in the real tree (a path/config
-    typo would otherwise turn RPL003 into a silent no-op)."""
+    """Guard the guard: the parity rule must actually find every stage of
+    the bulk resolver and a non-empty counter set in the real tree (a
+    path/config typo or a renamed stage would otherwise turn RPL003 into
+    a silent or partial no-op)."""
     from repro.analysis.rules.rpl003_parity import _collect_counters
 
     config = LintConfig.from_pyproject(REPO_ROOT / "pyproject.toml")
@@ -30,7 +31,7 @@ def test_rpl003_is_not_vacuous_on_src():
     options = config.options_for("RPL003")
     scalar: set = set()
     batched: set = set()
-    found_batched_def = False
+    found: set = set()
     for pattern in options["scalar-modules"]:
         for module in project.find_modules(pattern):
             s, b, defs = _collect_counters(
@@ -40,11 +41,14 @@ def test_rpl003_is_not_vacuous_on_src():
             )
             scalar |= set(s)
             batched |= set(b)
-            found_batched_def = found_batched_def or bool(defs)
-    assert found_batched_def, "access_batch not found: RPL003 is vacuous"
+            found |= {d.name for d in defs}
+    stages = set(options["batched-functions"])
+    assert stages == {"resolve_coherence", "resolve_l1", "commit_phase"}
+    assert found == stages, f"resolver stages missing: {stages - found}"
     # The MESI protocol counters must all be visible to the rule.
     assert {"l2_misses", "snoop_transactions", "invalidations",
-            "memory_fetches", "upgrades", "writebacks_to_memory"} <= scalar
+            "memory_fetches", "upgrades", "writebacks_to_memory",
+            "intra_transactions", "inter_bytes"} <= scalar
     assert scalar == batched
 
 
