@@ -14,8 +14,9 @@ assertions uniform.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.util.validation import check_positive, check_power_of_two
 
@@ -85,19 +86,42 @@ class CacheStats:
         return self.misses / total if total else 0.0
 
 
-class SetMap(dict[int, dict[int, list[int]]]):
-    """Set index -> set dict, each set created on first use.
+#: The one empty dict every never-filled cache set shares.  Lookups,
+#: probes and invalidations read it like any empty set; :meth:`Cache.insert`
+#: gives a set its own dict before the first line goes in, and nothing
+#: else may add to it.  (A plain dict: a subclass would make every set
+#: dict call site polymorphic and slow the scalar path down.)
+_VACANT: Dict[int, List[int]] = {}
 
-    A 12288-set L2 that a run touches in a few hundred sets then costs a
-    few hundred dicts to build and to flush, not 12288.
+
+class _DeferredSets:
+    """Stands in for a cache's set list while an external store holds its
+    contents: the first subscript has the store hand them back.
+
+    Holds its cache weakly, so a dropped cache and its store are freed
+    by reference counting alone.
     """
 
-    __slots__ = ()
+    __slots__ = ("_cache", "_materialize")
 
-    def __missing__(self, index: int) -> dict[int, list[int]]:
-        s: dict[int, list[int]] = {}
-        self[index] = s
-        return s
+    def __init__(self, cache: "Cache", materialize: Callable[[], None]):
+        self._cache = weakref.ref(cache)
+        self._materialize = materialize
+
+    def materialize(self) -> None:
+        """Have the store hand the contents back."""
+        self._materialize()
+
+    def __getitem__(self, index: int) -> Dict[int, List[int]]:
+        cache = self._cache()
+        self._materialize()
+        assert cache is not None and cache._sets is not self
+        return cache._sets[index]
+
+
+#: One resident line as the resolver and inspection see it:
+#: ``(set index, line, [state, stamp])``.
+Entry = Tuple[int, int, List[int]]
 
 
 class Cache:
@@ -107,8 +131,8 @@ class Cache:
     callers do the split once so multiple caches can share it.
 
     The contents may be *deferred*: while the bulk phase resolver
-    (:mod:`repro.mem.resolver`) holds them in arrays, ``_sets`` is absent
-    and the first access to it rebuilds the dicts of every cache the
+    (:mod:`repro.mem.resolver`) holds them in arrays, ``_sets`` is a
+    stand-in whose first subscript rebuilds the dicts of every cache the
     resolver holds (:meth:`defer_contents`).  Stats and ``_clock`` are
     always current.
     """
@@ -117,24 +141,16 @@ class Cache:
         self.config = config
         self.owner_id = owner_id
         self.stats = CacheStats()
-        # Set index -> {line: [state, stamp]}.  Dicts keep lookups O(1)
-        # even for the 12288-set L2, and sets never exceed `ways` entries.
-        self._sets: SetMap = SetMap()
-        self._materialize: Optional[Callable[[], None]] = None
         self._num_sets = config.num_sets
         self._ways = config.ways
         self._clock = 0
-
-    def __getattr__(self, name: str) -> object:
-        # Reached only when normal lookup fails: ``_sets`` is missing
-        # exactly while the contents are deferred.
-        materialize = self.__dict__.get("_materialize")
-        if name == "_sets" and materialize is not None:
-            materialize()
-            return self.__dict__["_sets"]
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
+        # One dict per set: line -> [state, stamp].  Dicts keep lookups O(1)
+        # even for the 12288-set L2, and sets never exceed `ways` entries.
+        # Every set starts as the shared vacant dict and gets its own on
+        # its first insert (``_filled`` lists those), so building or
+        # flushing a never-touched cache costs one list multiply.
+        self._sets: List[Dict[int, List[int]]] = [_VACANT] * self._num_sets
+        self._filled: List[int] = []
 
     def defer_contents(self, materialize: Callable[[], None]) -> None:
         """Hand the contents to an external store.
@@ -142,13 +158,30 @@ class Cache:
         ``materialize`` must put them back with :meth:`restore_contents`;
         it runs on the first touch of the contents.
         """
-        del self._sets
-        self._materialize = materialize
+        self._sets = _DeferredSets(self, materialize)  # type: ignore[assignment]
+        self._filled = []
 
-    def restore_contents(self, sets: SetMap) -> None:
-        """Install ``sets`` as the contents (ends a deferral)."""
+    def _current_sets(self) -> List[Dict[int, List[int]]]:
+        """The set list, brought back first if an external store holds it."""
+        sets = self._sets
+        if isinstance(sets, _DeferredSets):
+            sets.materialize()
+            sets = self._sets
+        return sets
+
+    def restore_contents(self, entries: Iterable[Entry]) -> None:
+        """Install ``entries`` as the contents, each set's in LRU order
+        (oldest first); ends a deferral."""
+        sets: List[Dict[int, List[int]]] = [_VACANT] * self._num_sets
+        filled = []
+        for index, line, entry in entries:
+            s = sets[index]
+            if s is _VACANT:
+                s = sets[index] = {}
+                filled.append(index)
+            s[line] = entry
         self._sets = sets
-        self._materialize = None
+        self._filled = filled
 
     # -- lookup/fill ---------------------------------------------------------
 
@@ -206,7 +239,10 @@ class Cache:
             s[line] = existing
             return None
         victim = None
-        if len(s) >= self._ways:
+        if s is _VACANT:
+            s = self._sets[line % self._num_sets] = {}
+            self._filled.append(line % self._num_sets)
+        elif len(s) >= self._ways:
             # Move-to-end on every stamp update keeps dict iteration order
             # == ascending-stamp order, so the LRU victim is simply the
             # first key — no scan (see lookup()).
@@ -240,34 +276,37 @@ class Cache:
     def flush(self) -> int:
         """Drop everything; returns the number of MODIFIED lines dropped.
 
-        Costs one step per set ever touched, so a never-touched cache
-        flushes in O(1).
+        Walks only the sets that were ever filled.
         """
+        sets = self._current_sets()
         dirty = 0
-        for s in self._sets.values():
-            for entry in s.values():
+        for index in self._filled:
+            for entry in sets[index].values():
                 if entry[0] == int(MESIState.MODIFIED):
                     dirty += 1
-        self._sets = SetMap()
+        self._sets = [_VACANT] * self._num_sets
+        self._filled = []
         return dirty
 
     # -- content inspection ----------------------------------------------------
 
-    def set_contents(self, index: int) -> List[Tuple[int, List[int]]]:
-        """``(line, [state, stamp])`` of set ``index`` in LRU order (oldest first)."""
-        s = self._sets.get(index)
-        return [(line, list(entry)) for line, entry in s.items()] if s else []
+    def entries(self) -> Iterator[Entry]:
+        """Every resident line as ``(set index, line, [state, stamp])``,
+        by set index, each set in LRU order (oldest first)."""
+        sets = self._current_sets()
+        for index in sorted(self._filled):
+            for line, entry in sets[index].items():
+                yield index, line, entry
 
     def resident_lines(self) -> Iterator[Tuple[int, MESIState]]:
         """Iterate ``(line, state)`` over all resident lines, by set index."""
-        sets = self._sets
-        for index in sorted(sets):
-            for line, entry in sets[index].items():
-                yield line, MESIState(entry[0])
+        for _, line, entry in self.entries():
+            yield line, MESIState(entry[0])
 
     def occupancy(self) -> int:
         """Number of resident lines."""
-        return sum(len(s) for s in self._sets.values())
+        sets = self._current_sets()
+        return sum(len(sets[index]) for index in self._filled)
 
     def __contains__(self, line: int) -> bool:
         return line in self._sets[line % self._num_sets]

@@ -189,6 +189,7 @@ class MemoryHierarchy:
         """Drop the current phase's schedule (at its barrier)."""
         self._pending = None
         self._calls = None
+        self._call_latency = []
 
     def access_batch(
         self,

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.mem.cache import Cache, SetMap
+from repro.mem.cache import Cache, Entry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mem.hierarchy import MemoryHierarchy
@@ -72,18 +72,6 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
         return np.sort(keys.astype(np.int64) * n
                        + np.arange(n, dtype=np.int64)) % n
     return np.argsort(keys, kind="stable")
-
-
-def _first_of_each(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct non-negative ``keys`` and where each first occurs."""
-    order = _stable_order(keys)
-    ordered = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    return ordered[first], order[first]
-
-
-# -- state -------------------------------------------------------------------
 
 
 #: A line's row in :class:`CacheArrays` lives in its page's block of
@@ -119,6 +107,7 @@ class CacheArrays:
 
     @classmethod
     def empty(cls, geom: "Geometry") -> "CacheArrays":
+        """Contents of caches that hold nothing."""
         lanes = geom.num_cores * geom.l1_sets
         none = np.zeros(0, dtype=np.int64)
         return cls(
@@ -156,7 +145,7 @@ class CacheArrays:
         have = len(self.block_page)
         if blocks <= have:
             return
-        grow = max(blocks, 2 * have, 64) - have
+        grow = max(2 * blocks, 64) - have
         rows = grow << PAGE_BITS
         self.block_page = np.concatenate(
             [self.block_page, np.zeros(grow, dtype=np.int64)])
@@ -233,14 +222,12 @@ def export_contents(h: "MemoryHierarchy", geom: Geometry) -> CacheArrays:
     entries = [
         (line, d, st, sp)
         for d, cache in enumerate(h.l2s)
-        for s in cache._sets.values()
-        for line, (st, sp) in s.items()
+        for _, line, (st, sp) in cache.entries()
     ]
     if entries:
         line, dom, state, stamp = (np.array(col, dtype=np.int64)
                                    for col in zip(*entries))
-        uniq, first, inverse = np.unique(line, return_index=True,
-                                         return_inverse=True)
+        uniq, inverse = np.unique(line, return_inverse=True)
         rows = store.rows_of(uniq)[inverse]
         np.bitwise_or.at(store.holders, rows, np.int64(1) << dom)
         store.kind[rows] = np.where(
@@ -251,38 +238,42 @@ def export_contents(h: "MemoryHierarchy", geom: Geometry) -> CacheArrays:
             store.occupancy[d] = np.bincount(line[mine] % geom.l2_sets,
                                              minlength=geom.l2_sets)
     for c, cache in enumerate(h.l1s):
-        for index, s in cache._sets.items():
-            for way, (line, (_st, sp)) in enumerate(s.items()):
-                store.l1_tag[c * geom.l1_sets + index, way] = line
-                store.l1_stamp[c * geom.l1_sets + index, way] = sp
+        way = 0
+        last = -1
+        for index, line, (_st, sp) in cache.entries():
+            way = way + 1 if index == last else 0
+            last = index
+            store.l1_tag[c * geom.l1_sets + index, way] = line
+            store.l1_stamp[c * geom.l1_sets + index, way] = sp
     return store
 
 
-def build_set_maps(geom: Geometry, store: CacheArrays) -> List[SetMap]:
-    """Dict contents of every L1 then every L2, each set in LRU order."""
-    maps: List[SetMap] = []
+def build_set_maps(geom: Geometry, store: CacheArrays) -> List[List[Entry]]:
+    """Entries of every L1 then every L2, each set's in LRU order."""
+    maps: List[List[Entry]] = []
     tag = store.l1_tag.reshape(geom.num_cores, geom.l1_sets * geom.l1_ways)
     sp = store.l1_stamp.reshape(tag.shape)
     for c in range(geom.num_cores):
-        sets = SetMap()
         valid = np.flatnonzero(tag[c] >= 0)
         valid = valid[np.argsort(sp[c, valid], kind="stable")]
-        for index, line, stamp in zip((valid // geom.l1_ways).tolist(),
-                                      tag[c, valid].tolist(),
-                                      sp[c, valid].tolist()):
-            sets[index][line] = [S, stamp]
-        maps.append(sets)
+        maps.append([
+            (index, line, [S, stamp])
+            for index, line, stamp in zip((valid // geom.l1_ways).tolist(),
+                                          tag[c, valid].tolist(),
+                                          sp[c, valid].tolist())
+        ])
     shared = np.bitwise_count(store.holders) > 1
     for d in range(geom.num_l2):
-        sets = SetMap()
         rows = np.flatnonzero((store.holders >> d) & 1)
         rows = rows[np.argsort(store.stamp[rows, d], kind="stable")]
-        state = np.where(shared[rows], S, store.kind[rows])
-        for line, st, stamp in zip(store.line_of(rows).tolist(),
-                                   state.tolist(),
-                                   store.stamp[rows, d].tolist()):
-            sets[line % geom.l2_sets][line] = [st, stamp]
-        maps.append(sets)
+        lines = store.line_of(rows)
+        maps.append([
+            (index, line, [st, stamp])
+            for index, line, st, stamp in zip(
+                (lines % geom.l2_sets).tolist(), lines.tolist(),
+                np.where(shared[rows], S, store.kind[rows]).tolist(),
+                store.stamp[rows, d].tolist())
+        ])
     return maps
 
 
@@ -309,10 +300,10 @@ class DeferredContents:
         store, self.store = self.store, None
         if store is None:
             return
-        for ref, sets in zip(self._caches, build_set_maps(self.geom, store)):
+        for ref, entries in zip(self._caches, build_set_maps(self.geom, store)):
             cache = ref()
             if cache is not None:
-                cache.restore_contents(sets)
+                cache.restore_contents(entries)
 
     def drop(self) -> None:
         """Forget the contents: every cache restarts empty, in O(1)."""
@@ -320,7 +311,7 @@ class DeferredContents:
         for ref in self._caches:
             cache = ref()
             if cache is not None:
-                cache.restore_contents(SetMap())
+                cache.restore_contents(())
 
 
 # -- the phase's schedule ---------------------------------------------------------
@@ -605,14 +596,23 @@ def _may_hold(geom: Geometry, store: CacheArrays, trace: PhaseTrace,
     Only a read fills an L1, so the core must have held the line at the
     phase start or read it earlier in the phase.
     """
-    nc = geom.num_cores
-    reads = np.flatnonzero(~trace.write)
-    keys, first = _first_of_each(trace.line[reads] * nc + trace.core[reads])
+    nu = len(trace.uniq)
+    # Reads in (core, line, time) order: a stable sort by core of the
+    # (line, time) order; each (core, line)'s first read leads its run.
+    reads = trace.by_line[~trace.write[trace.by_line]]
+    reads = reads[_stable_order(trace.core[reads])]
+    read_key = trace.core[reads] * nu + trace.lid[reads]
+    first = np.ones(len(read_key), dtype=bool)
+    np.not_equal(read_key[1:], read_key[:-1], out=first[1:])
+    keys = read_key[first]
     first_read = reads[first]
     held = np.flatnonzero(store.l1_tag.ravel() >= 0)
-    start = np.sort(store.l1_tag.ravel()[held] * nc
-                    + held // (geom.l1_sets * geom.l1_ways))
-    key = trace.line[at] * nc + core
+    held_line = store.l1_tag.ravel()[held]
+    p = np.minimum(np.searchsorted(trace.uniq, held_line), nu - 1)
+    in_phase = trace.uniq[p] == held_line
+    start = np.sort(held[in_phase] // (geom.l1_sets * geom.l1_ways) * nu
+                    + p[in_phase])
+    key = core * nu + trace.lid[at]
     p = np.searchsorted(keys, key)
     ok = p < len(keys)
     ok[ok] = keys[p[ok]] == key[ok]
@@ -696,38 +696,38 @@ def resolve_l1(geom: Geometry, store: CacheArrays, trace: PhaseTrace,
     s_hit = np.zeros(len(order), dtype=bool)
     s_old = np.zeros(len(order), dtype=np.int64)
 
-    tag = store.l1_tag.copy()
-    sur = store.l1_stamp.copy()
+    # Each way is a (line, stamp) pair: one gather and one scatter per step.
+    ways = np.stack([store.l1_tag, store.l1_stamp], axis=-1)
     # Surrogate stamps for this phase's touches: base + access index, above
     # every stamp already present and in the same order as the true clocks.
     base = int(max(clocks)) + 1
     s_stamp = base + s_at
     # What a hit leaves in its way: the line, touched — or nothing, for a
-    # removal.  A read miss fills the LRU (or an empty) way; other misses
-    # leave the lane as it was.
-    hit_tag = np.where(s_gone, -1, s_line)
-    hit_stamp = np.where(s_gone, EMPTY, s_stamp)
+    # removal.  A read miss fills the LRU (or an empty) way with the line;
+    # other misses leave the lane as it was.
+    on_hit = np.stack([np.where(s_gone, -1, s_line),
+                       np.where(s_gone, EMPTY, s_stamp)], axis=-1)
+    on_fill = np.stack([s_line, s_stamp], axis=-1)
+    s_read2 = s_read[:, None]
     row = np.arange(nc * nsets)
     a = 0
     for size in np.bincount(rank).tolist():
         b = a + size
         lane = s_lane[a:b]
-        x = s_line[a:b]
-        read = s_read[a:b]
-        tags = tag[lane]
-        stamps = sur[lane]
-        match = tags == x[:, None]
+        held = ways[lane]
+        match = held[:, :, 0] == s_line[a:b, None]
         hit = match.any(axis=1)
-        way = np.where(hit, match.argmax(axis=1), stamps.argmin(axis=1))
-        r = row[:size]
-        old = tags[r, way]
-        tag[lane, way] = np.where(hit, hit_tag[a:b], np.where(read, x, old))
-        sur[lane, way] = np.where(hit, hit_stamp[a:b], np.where(
-            read, s_stamp[a:b], stamps[r, way]))
+        way = np.where(hit, match.argmax(axis=1), held[:, :, 1].argmin(axis=1))
+        old = held[row[:size], way]
+        ways[lane, way] = np.where(hit[:, None], on_hit[a:b],
+                                   np.where(s_read2[a:b], on_fill[a:b], old))
         s_hit[a:b] = hit
-        s_old[a:b] = old
+        s_old[a:b] = old[:, 0]
         a = b
     s_evict = ~s_hit & s_read & (s_old >= 0)
+    tag = ways[:, :, 0].copy()
+    sur = ways[:, :, 1].copy()
+    del ways, on_hit, on_fill
 
     s_own = s_kind < 2
     l1_hit = np.zeros(n, dtype=bool)
@@ -773,8 +773,15 @@ def commit_phase(h: "MemoryHierarchy", geom: Geometry, store: CacheArrays,
     stamp2 = _running_clock(
         trace, [int(geom.core_to_l2[c]) for c, _, _ in trace.calls], tick2,
         [c._clock for c in l2s])
-    reached = np.flatnonzero(reaches)[::-1]
-    last_key, last = _first_of_each(trace.lid[reached] * nd + dom[reached])
+    # Reaching accesses in (L2, line, time) order: each (L2, line)'s last
+    # one ends its run.
+    nu = len(trace.uniq)
+    reached = trace.by_line[reaches[trace.by_line]]
+    reached = reached[_stable_order(dom[reached])]
+    key = dom[reached].astype(np.int64) * nu + trace.lid[reached]
+    last = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=last[:-1])
+    last_key = key[last]
     last_stamp = stamp2[reached[last]]
 
     # The new array state, in place: the phase's lines are all in the table.
@@ -788,7 +795,7 @@ def commit_phase(h: "MemoryHierarchy", geom: Geometry, store: CacheArrays,
     rows = trace.rows
     store.holders[rows] = coh.holders
     store.kind[rows] = coh.kind
-    store.stamp[rows[last_key // nd], last_key % nd] = last_stamp
+    store.stamp[rows[last_key % nu], last_key // nu] = last_stamp
     store.l1_tag = lanes.l1_tag
     store.l1_stamp = lanes.l1_stamp
 

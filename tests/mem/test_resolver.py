@@ -33,9 +33,10 @@ from repro.workloads import (
 
 def cache_state(cache):
     """Everything observable about one cache, sets in LRU order."""
-    sets = {i: cache.set_contents(i) for i in sorted(cache._sets)}
-    return ({i: s for i, s in sets.items() if s}, cache._clock,
-            dataclasses.asdict(cache.stats))
+    sets = {}
+    for index, line, entry in cache.entries():
+        sets.setdefault(index, []).append((line, list(entry)))
+    return sets, cache._clock, dataclasses.asdict(cache.stats)
 
 
 def hierarchy_state(h):
