@@ -11,10 +11,9 @@ three things:
    path; any divergence is a correctness bug, not a tolerance issue.
 2. **A conservative speedup floor** — the batched engine must be at
    least ``REPRO_BENCH_SPEEDUP_FLOOR``× faster (default 2.0).  Measured
-   speedups on an otherwise idle machine are ~3-4× (see
-   benchmarks/README.md); the floor is set well below that so a noisy
-   shared CI box doesn't flake, while still catching a fast-path
-   regression to scalar-equivalent speed.
+   speedups are ~7-8× (see benchmarks/README.md); the floor is set well
+   below that so a noisy shared CI box doesn't flake, while still
+   catching a fast-path regression to scalar-equivalent speed.
 3. **Every access resolved in bulk** — the ``sim_path_accesses_total``
    registry counter must credit all of the batched engine's accesses to
    the bulk phase resolver (``bulk_share`` 1.0).  Unlike the timing

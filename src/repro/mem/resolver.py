@@ -465,7 +465,8 @@ def resolve_coherence(geom: Geometry, trace: PhaseTrace,
     seg_lo = seg_first[np.cumsum(seg_start, dtype=np.int32) - 1]
     del seg_start
     wrote = wr[seg_lo]                  # i's segment began with a write
-    after = np.where(wrote, bit[0] ^ bit[0], init)
+    after = init.copy()
+    after[wrote] = 0
     idx = np.arange(n, dtype=np.int32)
     for b in range(nd):
         # Last access by L2 b so far; inside the segment means b joined.
