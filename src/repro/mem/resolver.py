@@ -25,7 +25,7 @@ computed in three stages, each a separately named function:
 
 Between bulk phases the caches' contents live in a :class:`CacheArrays`
 store; the :class:`~repro.mem.cache.Cache` dicts are rebuilt from it only
-when something reads them (:func:`build_set_maps`).
+when something reads them (:func:`cache_entries`).
 
 The hierarchy checks the phase-independent preconditions (UMA memory, no
 foreign invalidate hooks, the stock interconnect) and the simulator
@@ -185,6 +185,7 @@ class Geometry:
 
     @classmethod
     def of(cls, h: "MemoryHierarchy") -> "Geometry":
+        """Read the shape and costs off a hierarchy."""
         chip = h.bus.chip_of
         ic = h.bus.interconnect.config
         nd = len(h.l2s)
@@ -248,7 +249,7 @@ def export_contents(h: "MemoryHierarchy", geom: Geometry) -> CacheArrays:
     return store
 
 
-def build_set_maps(geom: Geometry, store: CacheArrays) -> List[List[Entry]]:
+def cache_entries(geom: Geometry, store: CacheArrays) -> List[List[Entry]]:
     """Entries of every L1 then every L2, each set's in LRU order."""
     maps: List[List[Entry]] = []
     tag = store.l1_tag.reshape(geom.num_cores, geom.l1_sets * geom.l1_ways)
@@ -300,7 +301,7 @@ class DeferredContents:
         store, self.store = self.store, None
         if store is None:
             return
-        for ref, entries in zip(self._caches, build_set_maps(self.geom, store)):
+        for ref, entries in zip(self._caches, cache_entries(self.geom, store)):
             cache = ref()
             if cache is not None:
                 cache.restore_contents(entries)
