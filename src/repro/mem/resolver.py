@@ -679,7 +679,8 @@ def resolve_l1(geom: Geometry, store: CacheArrays, trace: PhaseTrace,
     own = np.flatnonzero(acts)
     # Events: own accesses (kind 0 read, 1 write), then removals (kind 2).
     ev_at = np.concatenate([own, rk])
-    ev_lane = np.concatenate([trace.core[own], rc]) * nsets + trace.line[ev_at] % nsets
+    ev_lane = (np.concatenate([trace.core[own], rc]) * nsets
+               + trace.line[ev_at] % nsets)
     ev_kind = np.concatenate([trace.write[own].astype(np.int8),
                               np.full(len(rk), 2, dtype=np.int8)])
     # Order by (lane, time), then by rank within the lane: step s holds

@@ -235,11 +235,13 @@ def drive_phase(h, lines, writes, cores, quantum, bulk):
 
 @st.composite
 def phases(draw):
-    """2-3 phases of up to 8 threads over a small shared line pool."""
+    """1-3 phases of up to 8 threads over a small shared line pool, each
+    phase on its own placement (a remap at every barrier)."""
     threads = draw(st.integers(min_value=1, max_value=8))
     pool = draw(st.integers(min_value=2, max_value=48))
     out = []
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        cores = list(draw(st.permutations(range(8)))[:threads])
         lines, writes = [], []
         for _ in range(threads):
             n = draw(st.integers(min_value=0, max_value=60))
@@ -248,10 +250,9 @@ def phases(draw):
                 max_size=n)), dtype=np.int64) + 1000)
             writes.append(np.array(draw(st.lists(
                 st.booleans(), min_size=n, max_size=n)), dtype=bool))
-        out.append((lines, writes))
-    cores = draw(st.permutations(range(8)))[:threads]
+        out.append((lines, writes, cores))
     quantum = draw(st.sampled_from([1, 3, 7, 64]))
-    return out, list(cores), quantum
+    return out, quantum
 
 
 class TestRandomPhases:
@@ -259,15 +260,15 @@ class TestRandomPhases:
     @given(case=phases())
     def test_tiny_l1_large_l2_identical(self, case):
         """Heavy sharing, 2-way 4-set L1s: lanes see constant removals."""
-        workload, cores, quantum = case
+        workload, quantum = case
         ref, bulk = tiny_hierarchy(1024, 8), tiny_hierarchy(1024, 8)
-        for lines, writes in workload:
+        for lines, writes, cores in workload:
             expected = drive_phase(ref, lines, writes, cores, quantum, False)
             got = drive_phase(bulk, lines, writes, cores, quantum, True)
             assert got == expected
         assert hierarchy_state(bulk) == hierarchy_state(ref)
         assert bulk.bulk_accesses == sum(
-            len(x) for lines, _ in workload for x in lines)
+            len(x) for lines, _, _ in workload for x in lines)
 
     @settings(max_examples=60, deadline=None)
     @given(case=phases(), l2_sets=st.sampled_from([2, 4, 16]),
@@ -275,9 +276,9 @@ class TestRandomPhases:
     def test_admitted_phases_never_evict(self, case, l2_sets, l2_ways):
         """Small L2s: phases the precondition admits show no L2 eviction
         on the scalar path, and refused phases still match it."""
-        workload, cores, quantum = case
+        workload, quantum = case
         ref, bulk = tiny_hierarchy(l2_sets, l2_ways), tiny_hierarchy(l2_sets, l2_ways)
-        for lines, writes in workload:
+        for lines, writes, cores in workload:
             evictions = sum(c.stats.evictions for c in ref.l2s)
             admitted = bulk.bulk_accesses
             expected = drive_phase(ref, lines, writes, cores, quantum, False)
