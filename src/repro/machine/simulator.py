@@ -69,10 +69,10 @@ class SimConfig:
         engine: ``"scalar"`` (per-access reference loop), ``"batched"``
             (bit-identical fast path: bulk TLB runs per quantum, and each
             phase's caches resolved in bulk — the phase's first
-            ``access_batch`` call commits the whole phase, see
-            :mod:`repro.mem.resolver`; phases the resolver refuses run on
-            the scalar cache path), or ``"auto"`` (batched, overridable
-            via ``REPRO_SIM_ENGINE``).
+            ``access_batch`` call resolves the whole phase, or the rest of
+            it up to a mid-phase remap, see :mod:`repro.mem.resolver`;
+            phases the resolver refuses run on the scalar cache path), or
+            ``"auto"`` (batched, overridable via ``REPRO_SIM_ENGINE``).
     """
 
     quantum: int = 256
@@ -387,22 +387,20 @@ class Simulator:
             if batched:
                 seqs = [s.sequences(page_shift, line_shift) for s in streams]
                 lengths = [sq.length for sq in seqs]
-                if on_tick is None:
-                    # The schedule is fixed for the whole phase: let the
-                    # hierarchy resolve it in bulk.  A tick controller may
-                    # remap mid-phase, so those phases run access by access.
-                    hierarchy.begin_phase(
-                        [s.addrs for s in streams],
-                        [s.writes for s in streams],
-                        mapping, quantum,
-                    )
+                # The schedule is fixed until the placement changes: let the
+                # hierarchy resolve the phase in bulk.
+                stream_addrs = [s.addrs for s in streams]
+                stream_writes = [s.writes for s in streams]
+                hierarchy.begin_phase(stream_addrs, stream_writes, mapping, quantum)
             else:
                 addrs = [s.addrs.tolist() for s in streams]
                 writes = [s.writes.tolist() for s in streams]
                 lengths = [len(a) for a in addrs]
             pos = [0] * len(streams)
             active = [t for t in range(len(streams)) if lengths[t]]
+            rounds = 0
             while active:
+                rounds += 1
                 for t in active[:]:
                     core = mapping[t]
                     i = pos[t]
@@ -468,8 +466,12 @@ class Simulator:
                     if now >= next_tick:
                         next_tick = now + tick_interval
                         proposed = on_tick(now)
-                        if proposed is not None:
-                            apply_mapping(list(proposed))
+                        if (proposed is not None
+                                and apply_mapping(list(proposed)) and batched):
+                            # Announcing the rest of the phase on the new
+                            # placement commits the rounds that ran.
+                            hierarchy.begin_phase(stream_addrs, stream_writes,
+                                                  mapping, quantum, rounds)
             if batched:
                 hierarchy.end_phase()
             return done
@@ -510,8 +512,9 @@ class Simulator:
                 tlb_misses=after[4] - before[4],
             ))
 
-        def apply_mapping(new_mapping: List[int], phase_index: int = -1) -> None:
-            """Validate and apply a controller-requested remap.
+        def apply_mapping(new_mapping: List[int], phase_index: int = -1) -> bool:
+            """Validate and apply a controller-requested remap; whether any
+            thread moved.
 
             Shared by the barrier hook and the mid-phase tick path
             (``phase_index`` is -1 for ticks — the remap lands between
@@ -526,7 +529,7 @@ class Simulator:
                 raise ValueError("migration controller mapped outside the core set")
             moved = [t for t in range(len(mapping)) if mapping[t] != new_mapping[t]]
             if not moved:
-                return
+                return False
             cost = int(getattr(migration_controller, "migration_cost_cycles", 0))
             for t in moved:
                 core_cycles[new_mapping[t]] += cost
@@ -555,6 +558,7 @@ class Simulator:
             core_to_thread = {core: t for t, core in enumerate(mapping)}
             for det in detectors:
                 det.rebind(core_to_thread)
+            return True
 
         def handle_migration(phase_index: int) -> None:
             if migration_controller is None:

@@ -120,10 +120,12 @@ class MemoryHierarchy:
         self._l1_lat = self.l1_config.latency  # hot-path hoist
         #: Accesses resolved in bulk (the rest ran on the scalar path).
         self.bulk_accesses = 0
-        # Bulk-resolver state: the announced phase, its resolved call
-        # schedule and latencies, and the caches' contents while the
-        # resolver holds them as arrays (None: the dicts are current).
+        # Bulk-resolver state: the announced phase, its resolution (not yet
+        # committed), call schedule and latencies, and the caches' contents
+        # while the resolver holds them as arrays (None: the dicts are
+        # current).
         self._pending: Optional[tuple] = None
+        self._resolved: Optional[tuple] = None
         self._calls: Optional[List[Tuple[int, int, int]]] = None
         self._call_latency: List[int] = []
         self._call_index = 0
@@ -174,22 +176,44 @@ class MemoryHierarchy:
         writes: Sequence[np.ndarray],
         cores: Sequence[int],
         quantum: int,
+        first_round: int = 0,
     ) -> None:
         """Announce the phase the next :meth:`access_batch` calls run.
 
         ``addrs[t]``/``writes[t]`` are thread ``t``'s stream, run on core
-        ``cores[t]`` in rounds of ``quantum`` accesses, threads in index
-        order within a round.  Cheap: the phase is resolved lazily by the
-        first :meth:`access_batch` call, and :meth:`end_phase` releases it.
+        ``cores[t]`` in rounds of ``quantum`` accesses from round
+        ``first_round`` on, threads in index order within a round.  Cheap:
+        the phase is resolved lazily by the first :meth:`access_batch`
+        call, and :meth:`end_phase` commits it.  A phase still open is
+        ended first.
         """
-        self._pending = (list(addrs), list(writes), list(cores), int(quantum))
-        self._calls = None
+        self.end_phase()
+        self._pending = (list(addrs), list(writes), list(cores), int(quantum),
+                         int(first_round))
 
     def end_phase(self) -> None:
-        """Drop the current phase's schedule (at its barrier)."""
+        """Commit the open phase's calls that ran, and drop its schedule.
+
+        At a barrier every announced call has run.  Fewer have when the
+        placement changes between two rounds (a mid-phase remap): only
+        those rounds are resolved again and committed, and the simulator
+        announces the rest of the phase on the new placement.
+        """
+        resolved, self._resolved = self._resolved, None
+        ran = self._call_index
         self._pending = None
         self._calls = None
         self._call_latency = []
+        self._call_index = 0
+        if resolved is None or ran == 0:
+            return
+        phase, store, trace, coh, lanes = resolved
+        if self._contents() is not store:
+            raise RuntimeError("cache contents were used inside a resolved phase")
+        if ran < len(trace.calls):
+            trace, coh, lanes = self._resolve(store, *phase, limit=ran)
+        resolver.commit_phase(self, self._geometry, store, trace, coh, lanes)
+        self.bulk_accesses += len(trace.line)
 
     def access_batch(
         self,
@@ -203,16 +227,15 @@ class MemoryHierarchy:
         summed latency in cycles.
 
         Within a phase announced by :meth:`begin_phase` the first call
-        resolves and commits the *whole phase* in bulk
-        (:mod:`repro.mem.resolver`): every cache's final state and every
-        counter are in place after it, and each call — which must follow
-        the announced schedule — returns its precomputed latency.  Phases
-        the resolver refuses (a non-UMA memory model, invalidate hooks
-        other than the hierarchy's own, a possible L2 eviction), and calls
-        outside an announced phase (the simulator announces none while a
-        tick controller may remap mid-phase), run access by access on the
-        scalar reference path :meth:`access`.  Either way the outcome is
-        bit-identical to ``end - start`` calls of :meth:`access`.
+        resolves the *whole phase* in bulk (:mod:`repro.mem.resolver`),
+        and each call — which must follow the announced schedule —
+        returns its precomputed latency; :meth:`end_phase` commits every
+        cache's final state and every counter.  Phases the resolver
+        refuses (a non-UMA memory model, invalidate hooks other than the
+        hierarchy's own, a possible L2 eviction), and calls outside an
+        announced phase, run access by access on the scalar reference
+        path :meth:`access`.  Either way the outcome is bit-identical to
+        ``end - start`` calls of :meth:`access`.
         """
         calls = self._calls
         if calls is None and self._pending is not None:
@@ -244,9 +267,8 @@ class MemoryHierarchy:
         )
 
     def _resolve_pending(self) -> Optional[List[Tuple[int, int, int]]]:
-        """Resolve and commit the announced phase; None when refused."""
-        addrs, writes, cores, quantum = self._pending
-        self._pending = None
+        """Resolve the announced phase; its call schedule, None when refused."""
+        phase, self._pending = self._pending, None
         if not self._bulk_allowed():
             return None
         geom = self._geometry
@@ -258,23 +280,41 @@ class MemoryHierarchy:
                 self.l1s + self.l2s, geom, resolver.export_contents(self, geom)
             )
             store = self._deferred.store
+        resolved = self._resolve(store, *phase)
+        if resolved is None:
+            self._deferred.materialize()
+            return None
+        trace, coh, lanes = resolved
+        self._resolved = (phase, store, trace, coh, lanes)
+        self._call_latency = resolver.call_latencies(geom, trace, coh, lanes)
+        self._call_index = 0
+        return trace.calls
+
+    def _resolve(
+        self,
+        store: resolver.CacheArrays,
+        addrs: List[np.ndarray],
+        writes: List[np.ndarray],
+        cores: List[int],
+        quantum: int,
+        first_round: int,
+        limit: Optional[int] = None,
+    ) -> Optional[tuple]:
+        """Stages 1 and 2 over the phase's first ``limit`` calls (all when
+        None); None when an L2 set could overflow."""
+        geom = self._geometry
         shift = self._line_shift
         trace = resolver.schedule(
-            geom, store, [a >> shift for a in addrs], writes, cores, quantum
+            geom, store, [a >> shift for a in addrs], writes, cores, quantum,
+            first_round, limit,
         )
         if not resolver.fits_l2(geom, store, trace):
-            self._deferred.materialize()
             return None
         coh = resolver.resolve_coherence(geom, trace, self.bus.memory_latency)
         lanes = resolver.resolve_l1(
             geom, store, trace, coh, [c._clock for c in self.l1s]
         )
-        self._call_latency = resolver.commit_phase(
-            self, geom, store, trace, coh, lanes
-        )
-        self.bulk_accesses += len(trace.line)
-        self._call_index = 0
-        return trace.calls
+        return trace, coh, lanes
 
     def _contents(self) -> Optional[resolver.CacheArrays]:
         """The resolver's arrays, or None when the cache dicts are current."""

@@ -20,19 +20,24 @@ computed in three stages, each a separately named function:
    removals: inclusion shootdowns from stage 1's invalidations and
    sibling writes.  All lanes step together, one event per lane per step.
 3. :func:`commit_phase` — L2 LRU stamps (which need the L1 outcome: only
-   L1 read misses reach the L2), every counter, per-call latencies and
-   the new array state.
+   L1 read misses reach the L2), every counter and the new array state;
+   :func:`call_latencies` gives each ``access_batch`` call's latency.
 
 Between bulk phases the caches' contents live in a :class:`CacheArrays`
 store; the :class:`~repro.mem.cache.Cache` dicts are rebuilt from it only
 when something reads them (:func:`cache_entries`).
 
 The hierarchy checks the phase-independent preconditions (UMA memory, no
-foreign invalidate hooks, the stock interconnect) and the simulator
-announces no phase while a tick controller may remap mid-phase;
-:func:`fits_l2` checks the per-phase one: resident plus new distinct
-lines per L2 set within the associativity, so no L2 eviction can happen.
-A refused phase runs on the scalar reference path.
+foreign invalidate hooks, the stock interconnect); :func:`fits_l2` checks
+the per-phase one: resident plus new distinct lines per L2 set within the
+associativity, so no L2 eviction can happen.  A refused phase runs on the
+scalar reference path.
+
+A phase is committed when it ends, not when it is resolved.  A tick
+controller may remap threads between two rounds; that ends the phase
+early: only the rounds that ran are resolved again and committed
+(:func:`schedule` takes the first round and a call limit), and the
+remaining rounds are announced on the new placement.
 """
 
 from __future__ import annotations
@@ -346,14 +351,16 @@ class PhaseTrace:
 
 def schedule(geom: Geometry, store: CacheArrays, lines: Sequence[np.ndarray],
              writes: Sequence[np.ndarray], cores: Sequence[int],
-             quantum: int) -> PhaseTrace:
+             quantum: int, first_round: int = 0,
+             limit: Optional[int] = None) -> PhaseTrace:
     """Interleave the threads' streams the way the simulator runs them:
-    round by round, threads in index order, ``quantum`` accesses each."""
+    round by round from ``first_round``, threads in index order,
+    ``quantum`` accesses each; only the first ``limit`` calls when given."""
     pieces = sorted(
         (start // quantum, t, start, min(start + quantum, len(arr)))
         for t, arr in enumerate(lines)
-        for start in range(0, len(arr), quantum)
-    )
+        for start in range(first_round * quantum, len(arr), quantum)
+    )[:limit]
     calls = [(cores[t], a, b) for _, t, a, b in pieces]
     sizes = np.array([b - a for _, _, a, b in pieces], dtype=np.int64)
     bounds = np.zeros(len(pieces), dtype=np.int64)
@@ -754,20 +761,22 @@ def resolve_l1(geom: Geometry, store: CacheArrays, trace: PhaseTrace,
 # -- stage 3: commit ------------------------------------------------------------------
 
 
-def commit_phase(h: "MemoryHierarchy", geom: Geometry, store: CacheArrays,
-                 trace: PhaseTrace, coh: Coherence,
-                 lanes: Lanes) -> List[int]:
-    """Fold the phase into the counters and the array state.
+def call_latencies(geom: Geometry, trace: PhaseTrace, coh: Coherence,
+                   lanes: Lanes) -> List[int]:
+    """Each ``access_batch`` call's latency sum."""
+    reaches = trace.write | ~lanes.l1_hit
+    latency = geom.l1_lat + np.where(reaches, coh.deep_lat, 0)
+    return np.add.reduceat(latency, trace.bounds, dtype=np.int64).tolist()
 
-    Returns each ``access_batch`` call's latency sum.
-    """
+
+def commit_phase(h: "MemoryHierarchy", geom: Geometry, store: CacheArrays,
+                 trace: PhaseTrace, coh: Coherence, lanes: Lanes) -> None:
+    """Fold the phase into the counters and the array state."""
     nd, nc = geom.num_l2, geom.num_cores
     write = trace.write
     dom = trace.dom
     core = trace.core
     reaches = write | ~lanes.l1_hit
-    latency = geom.l1_lat + np.where(reaches, coh.deep_lat, 0)
-    call_lat = np.add.reduceat(latency, trace.bounds, dtype=np.int64).tolist()
 
     # L2 LRU: a reaching access ticks its L2's clock once, a miss's fill
     # once more; a line's stamp is its last reaching access's.
@@ -844,4 +853,3 @@ def commit_phase(h: "MemoryHierarchy", geom: Geometry, store: CacheArrays,
     by_kind = ic_stats.by_kind
     for name, (_, count) in sorted(coh.first_use.items(), key=lambda kv: kv[1]):
         by_kind[name] = by_kind.get(name, 0) + count
-    return call_lat

@@ -15,9 +15,8 @@ SARIF_SNAPSHOT = Path(__file__).parent / "snapshots" / "fixtures_report.sarif"
 #: rule active, the scoped rules pointed at their fixtures.
 SNAPSHOT_CONFIG = dict(
     rpl003={
-        "scalar-modules": ["rpl003_bad.py", "rpl003_resolver_bad.py"],
-        "batched-functions": ["access_batch", "resolve_coherence",
-                              "resolve_l1", "commit_phase"],
+        "scalar-modules": ["rpl003_bad.py"],
+        "batched-functions": ["access_batch"],
         "extra-counters": [],
         "sim-result-module": "rpl003_bad.py",
         "sim-result-class": "FixtureResult",

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.machine.simulator import SimConfig, Simulator
 from repro.machine.system import System, SystemConfig
 from repro.machine.topology import harpertown
+from repro.mem import resolver
 from repro.mem.cache import CacheConfig
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.numa import NUMAConfig
@@ -122,15 +123,61 @@ class TestFinalState:
 
 
 class _TickController:
-    """Consulted mid-phase; never remaps, so only the path changes."""
+    """Consulted mid-phase; swaps thread pairs at the ticks in ``remap_at``."""
 
     tick_interval_cycles = 5_000
 
+    def __init__(self, remap_at=()):
+        self.remap_at = set(remap_at)
+        self.ticks = 0
+        self.mapping = list(range(8))
+
     def on_tick(self, now_cycles):
-        return None
+        self.ticks += 1
+        if self.ticks not in self.remap_at:
+            return None
+        m = self.mapping
+        self.mapping = [m[t ^ 1] for t in range(8)]
+        return self.mapping
 
     def on_phase_end(self, phase_index, now_cycles):
         return None
+
+
+class TestTicks:
+    """A tick controller's phases resolve in bulk, up to each remap."""
+
+    def test_ticks_without_remap(self):
+        out = run_both(WORKLOADS["nearest"],
+                       migration_controller=_TickController())
+        assert_same(out)
+        result = out["batched"][0]
+        assert out["batched"][2].hierarchy.bulk_accesses == result["accesses"]
+
+    @pytest.mark.parametrize("name", ["sp", "false-sharing"])
+    def test_mid_phase_remaps(self, name, monkeypatch):
+        limits = []
+        schedule = resolver.schedule
+
+        def recording(*args):
+            limits.append(args[-1])
+            return schedule(*args)
+
+        monkeypatch.setattr(resolver, "schedule", recording)
+        out = {}
+        for engine in ("scalar", "batched"):
+            system = System(harpertown())
+            controller = _TickController(remap_at=(1, 2, 4))
+            result = Simulator(system, SimConfig(engine=engine, quantum=64)).run(
+                WORKLOADS[name](), migration_controller=controller)
+            out[engine] = (dataclasses.asdict(result),
+                           hierarchy_state(system.hierarchy), system)
+        assert_same(out)
+        result = out["batched"][0]
+        assert result["migrations"] == 3
+        assert out["batched"][2].hierarchy.bulk_accesses == result["accesses"]
+        # Some remap cut a resolved phase short: its prefix was re-resolved.
+        assert any(limit is not None for limit in limits)
 
 
 class TestRefusals:
@@ -150,12 +197,6 @@ class TestRefusals:
         out = run_both(WORKLOADS["nearest"], make_system=lambda: System(
             harpertown(), SystemConfig(numa=NUMAConfig(
                 local_latency=180, remote_penalty=120))))
-        assert_same(out)
-        assert out["batched"][2].hierarchy.bulk_accesses == 0
-
-    def test_tick_controller(self):
-        out = run_both(WORKLOADS["nearest"],
-                       migration_controller=_TickController())
         assert_same(out)
         assert out["batched"][2].hierarchy.bulk_accesses == 0
 
@@ -206,15 +247,22 @@ def tiny_hierarchy(l2_sets, l2_ways):
     )
 
 
-def drive_phase(h, lines, writes, cores, quantum, bulk):
-    """Run one phase in the simulator's order; per-call latencies."""
+def drive_phase(h, lines, writes, cores, quantum, bulk, remap=None):
+    """Run one phase in the simulator's order; per-call latencies.
+
+    ``remap = (rounds, cores)`` moves the threads onto ``cores`` after that
+    many rounds, the way a tick controller does.
+    """
     seqs = [(lv.tolist(), wv.tolist()) for lv, wv in zip(lines, writes)]
+    addrs = [lv << 6 for lv in lines]
     if bulk:
-        h.begin_phase([lv << 6 for lv in lines], writes, cores, quantum)
+        h.begin_phase(addrs, writes, cores, quantum)
     latencies = []
     pos = [0] * len(lines)
     active = [t for t in range(len(lines)) if len(lines[t])]
+    rounds = 0
     while active:
+        rounds += 1
         for t in active[:]:
             start, n = pos[t], len(lines[t])
             end = min(start + quantum, n)
@@ -228,15 +276,40 @@ def drive_phase(h, lines, writes, cores, quantum, bulk):
             pos[t] = end
             if end == n:
                 active.remove(t)
+        if remap is not None and rounds == remap[0]:
+            cores = remap[1]
+            if bulk:
+                h.begin_phase(addrs, writes, cores, quantum, rounds)
     if bulk:
         h.end_phase()
     return latencies
 
 
+class TestPhaseProtocol:
+    def test_cache_use_inside_a_resolved_phase_is_an_error(self):
+        """Reading a cache before ``end_phase`` would see the start state
+        and detach it from the commit: refuse instead of losing it."""
+        h = tiny_hierarchy(1024, 8)
+        lines = np.arange(1000, 1010, dtype=np.int64)
+        h.begin_phase([lines << 6], [np.zeros(10, dtype=bool)], [0], 4)
+        h.access_batch(0, lines.tolist(), [False] * 10, 0, 4)
+        list(h.l1s[0].entries())
+        with pytest.raises(RuntimeError, match="inside a resolved phase"):
+            h.end_phase()
+
+    def test_calls_must_follow_the_schedule(self):
+        h = tiny_hierarchy(1024, 8)
+        lines = np.arange(1000, 1010, dtype=np.int64)
+        h.begin_phase([lines << 6], [np.zeros(10, dtype=bool)], [0], 4)
+        with pytest.raises(RuntimeError, match="announced phase schedule"):
+            h.access_batch(1, lines.tolist(), [False] * 10, 0, 4)
+
+
 @st.composite
 def phases(draw):
     """1-3 phases of up to 8 threads over a small shared line pool, each
-    phase on its own placement (a remap at every barrier)."""
+    phase on its own placement (a remap at every barrier), some moved to
+    another placement between two rounds."""
     threads = draw(st.integers(min_value=1, max_value=8))
     pool = draw(st.integers(min_value=2, max_value=48))
     out = []
@@ -250,7 +323,10 @@ def phases(draw):
                 max_size=n)), dtype=np.int64) + 1000)
             writes.append(np.array(draw(st.lists(
                 st.booleans(), min_size=n, max_size=n)), dtype=bool))
-        out.append((lines, writes, cores))
+        remap = draw(st.none() | st.tuples(
+            st.integers(min_value=1, max_value=6),
+            st.permutations(range(8)).map(lambda p: list(p[:threads]))))
+        out.append((lines, writes, cores, remap))
     quantum = draw(st.sampled_from([1, 3, 7, 64]))
     return out, quantum
 
@@ -262,13 +338,13 @@ class TestRandomPhases:
         """Heavy sharing, 2-way 4-set L1s: lanes see constant removals."""
         workload, quantum = case
         ref, bulk = tiny_hierarchy(1024, 8), tiny_hierarchy(1024, 8)
-        for lines, writes, cores in workload:
-            expected = drive_phase(ref, lines, writes, cores, quantum, False)
-            got = drive_phase(bulk, lines, writes, cores, quantum, True)
+        for lines, writes, cores, remap in workload:
+            expected = drive_phase(ref, lines, writes, cores, quantum, False, remap)
+            got = drive_phase(bulk, lines, writes, cores, quantum, True, remap)
             assert got == expected
         assert hierarchy_state(bulk) == hierarchy_state(ref)
         assert bulk.bulk_accesses == sum(
-            len(x) for lines, _, _ in workload for x in lines)
+            len(x) for lines, _, _, _ in workload for x in lines)
 
     @settings(max_examples=60, deadline=None)
     @given(case=phases(), l2_sets=st.sampled_from([2, 4, 16]),
@@ -278,12 +354,14 @@ class TestRandomPhases:
         on the scalar path, and refused phases still match it."""
         workload, quantum = case
         ref, bulk = tiny_hierarchy(l2_sets, l2_ways), tiny_hierarchy(l2_sets, l2_ways)
-        for lines, writes, cores in workload:
+        for lines, writes, cores, remap in workload:
             evictions = sum(c.stats.evictions for c in ref.l2s)
             admitted = bulk.bulk_accesses
-            expected = drive_phase(ref, lines, writes, cores, quantum, False)
-            got = drive_phase(bulk, lines, writes, cores, quantum, True)
+            expected = drive_phase(ref, lines, writes, cores, quantum, False, remap)
+            got = drive_phase(bulk, lines, writes, cores, quantum, True, remap)
             assert got == expected
-            if bulk.bulk_accesses > admitted:
+            # A remap splits the phase in two, each admitted or refused on
+            # its own; a wholly admitted phase must not evict.
+            if bulk.bulk_accesses - admitted == sum(len(x) for x in lines):
                 assert sum(c.stats.evictions for c in ref.l2s) == evictions
         assert hierarchy_state(bulk) == hierarchy_state(ref)
